@@ -1976,6 +1976,106 @@ let quant () =
   close_out oc;
   Printf.printf "report: BENCH_quant.json\n"
 
+(* Lean-kernel wall clock: the autotuned float predictor, its int16
+   counterpart where the model certifies, and the two in-repo baselines,
+   µs/row on the same 1024 rows for every zoo model. Single thread. The
+   four predictors are timed round-robin and each keeps its fastest
+   round (the interleaved min-of-N of [quant]), so host-speed drift hits
+   all of them alike. Records the kernels' standing; not a gate. *)
+let kernels () =
+  let module Numeric = Tb_analysis.Numeric in
+  let module Treebeard = Tb_core.Treebeard in
+  let module J = Tb_util.Json in
+  heading
+    "Lean walk kernels: autotuned tb float and int16 vs xgboost-style and\n\
+     treelite-style, single-thread us/row (interleaved min of 5)";
+  let t =
+    Table.create
+      [ "Model"; "tb float"; "tb int16"; "xgboost-style"; "treelite-style";
+        "xgb/float"; "float/int16" ]
+  in
+  let summary = ref [] in
+  List.iter
+    (fun name ->
+      let b = load name in
+      let forest = b.entry.Zoo.forest in
+      let schedule =
+        fst (Schedule.clamp_threads ~max_threads:1 (best_schedule name intel).Explore.schedule)
+      in
+      let rows = b.rows_1024 in
+      let n = float_of_int (Array.length rows) in
+      let time f =
+        let r = Tb_util.Timer.measure ~warmup:1 ~min_iters:3 ~min_time_s:0.2 f in
+        r.Tb_util.Timer.mean_s /. n *. 1e6
+      in
+      let make precision =
+        Treebeard.make ~plan:(`Schedule schedule) ~profiles:b.profiles
+          ~backend:`Single_thread ~precision (`Forest forest)
+      in
+      let float_c = make `Float in
+      (* The [quant] experiment's tolerance: the certificate's own bound,
+         doubled, never below the default. *)
+      let cert = Numeric.certify ~width:Numeric.I16 forest in
+      let tolerance =
+        Float.max Numeric.default_tolerance
+          (2.0 *. Array.fold_left Float.max 0.0 cert.Numeric.dev_bound)
+      in
+      let int16_c = make (`Quantized { Treebeard.bits = `I16; tolerance }) in
+      let int16 = int16_c.Treebeard.tier = `Int16 in
+      let xgb = Xgboost.compile forest and tl = Treelite.compile forest in
+      let runs =
+        [|
+          (fun () -> ignore (Treebeard.predict_forest float_c rows));
+          (fun () -> ignore (Treebeard.predict_forest int16_c rows));
+          (fun () -> ignore (Xgboost.predict_batch xgb Xgboost.V15 rows));
+          (fun () -> ignore (Treelite.predict_batch tl rows));
+        |]
+      in
+      let best = Array.make (Array.length runs) infinity in
+      for _ = 1 to 5 do
+        Array.iteri (fun i f -> best.(i) <- Float.min best.(i) (time f)) runs
+      done;
+      let tb, tq, tx, tt = (best.(0), best.(1), best.(2), best.(3)) in
+      Table.add_row t
+        [
+          name;
+          Table.cell_f tb;
+          (if int16 then Table.cell_f tq else "(float)");
+          Table.cell_f tx;
+          Table.cell_f tt;
+          Table.cell_fx (tx /. tb);
+          (if int16 then Table.cell_fx (tb /. tq) else "-");
+        ];
+      summary :=
+        J.Obj
+          ([
+             ("model", J.Str name);
+             ("schedule", J.Str (Schedule.to_string schedule));
+             ("tb_float_us_per_row", J.Num tb);
+             ("xgboost_us_per_row", J.Num tx);
+             ("treelite_us_per_row", J.Num tt);
+             ("speedup_vs_xgboost", J.Num (tx /. tb));
+             ("int16_certified", J.Bool int16);
+           ]
+          @
+          if int16 then
+            [
+              ("tb_int16_us_per_row", J.Num tq);
+              ("int16_speedup_vs_float", J.Num (tb /. tq));
+              ("int16_tolerance", J.Num tolerance);
+            ]
+          else [])
+        :: !summary;
+      Printf.printf "[kernels] %s done\n%!" name)
+    all_names;
+  Table.print t;
+  let json = J.Obj [ ("summary", J.List (List.rev !summary)) ] in
+  let oc = open_out "BENCH_kernels.json" in
+  output_string oc (J.to_string ~indent:true json);
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "report: BENCH_kernels.json\n"
+
 let all_experiments =
   [
     ("table1", table1);
@@ -2004,4 +2104,5 @@ let all_experiments =
     ("validate", validate);
     ("numeric", numeric);
     ("quant", quant);
+    ("kernels", kernels);
   ]

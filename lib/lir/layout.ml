@@ -362,7 +362,7 @@ let stride_facts t =
    semantics unchanged. *)
 let pow2 e = Float.ldexp 1.0 e
 
-let quantize_scaled ~q_max scaled =
+let[@inline] quantize_scaled ~q_max scaled =
   let v = Float.round scaled in
   if Float.is_nan v then 0
   else if v >= float_of_int q_max then q_max
@@ -419,9 +419,12 @@ let row_quantizer (q : qspec) =
     q.feature_exp;
   let q_max = q.q_max in
   fun (row : float array) ->
-    Array.init nf (fun f ->
-        let s = Array.unsafe_get scale f in
-        if s = 0.0 then 0 else quantize_scaled ~q_max (row.(f) *. s))
+    let qrow = Array.make nf 0 in
+    for f = 0 to nf - 1 do
+      let s = scale.(f) in
+      if s <> 0.0 then qrow.(f) <- quantize_scaled ~q_max (row.(f) *. s)
+    done;
+    qrow
 
 let quantize (q : qspec) t =
   if t.quant <> None then invalid_arg "Layout.quantize: already quantized";

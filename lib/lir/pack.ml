@@ -418,15 +418,27 @@ let r_seq n read =
     a
   end
 
+(* The bulk readers check the whole span once and loop over it, with no
+   closure call or boxed float per element. *)
 let r_int_array c what =
   let n = r_len c what in
   need c (4 * n) what;
-  r_seq n (fun () -> r_i32 c what)
+  let a = Array.make n 0 and pos = c.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int32.to_int (Bytes.get_int32_le c.buf (pos + (4 * i)))
+  done;
+  c.pos <- pos + (4 * n);
+  a
 
 let r_float_array c what =
   let n = r_len c what in
   need c (8 * n) what;
-  r_seq n (fun () -> r_f64 c what)
+  let a = Array.create_float n and pos = c.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (Bytes.get_int64_le c.buf (pos + (8 * i)))
+  done;
+  c.pos <- pos + (8 * n);
+  a
 
 let r_walk c =
   match r_u8 c "walk kind" with
@@ -579,13 +591,33 @@ let check_block c (len, body_start) what =
 (* Structural validation of a decoded pack                             *)
 (* ------------------------------------------------------------------ *)
 
-let validate t =
+(* The walkability invariant — what the JIT's unchecked loads rest on
+   (DESIGN.md §15). From every tree root, every child a LUT row can
+   select (for any comparison outcome, so for any row, NaNs included) is
+   a slot or leaf inside its buffer: array walks stay inside the tree's
+   slab and never enter an unused slot, sparse walks follow child
+   pointers to tile slots and leaf indices in range. Walks reach a leaf
+   within the tree's [walk_depth] (so no cycles), and an unrolled
+   group's deepest leaf sits at exactly its unrolled depth, which bounds
+   the kernels' step count by the layout. Every lane reads a feature in
+   [0, width), where a quantized layout's width is its feature-exponent
+   count (the length of the JIT's quantized rows).
+   A peel depth is not a step count any kernel trusts, so it is not
+   checked.
+
+   One pass over the LUT-reachable graph: every slot is entered at most
+   once (array children are injective in (slot, child); a second sparse
+   entry is rejected, which also rules out cycles), so the cost is
+   linear in the buffers however they were crafted. Returns the row
+   width a predictor must be fed. *)
+let check_walkable t =
   let lay = t.layout in
   let slots = Array.length lay.Layout.shape_ids in
   let nt = lay.Layout.tile_size in
   if nt < 1 || nt > 8 then fail "A004" "tile size %d out of range" nt;
-  if lay.Layout.num_trees <> Array.length lay.Layout.tree_root then
-    fail "A004" "num_trees %d != tree_root length %d" lay.Layout.num_trees
+  let num_trees = lay.Layout.num_trees in
+  if num_trees <> Array.length lay.Layout.tree_root then
+    fail "A004" "num_trees %d != tree_root length %d" num_trees
       (Array.length lay.Layout.tree_root);
   if Array.length lay.Layout.thresholds <> slots * nt then
     fail "A004" "thresholds length %d != %d slots x tile size %d"
@@ -593,47 +625,212 @@ let validate t =
   if Array.length lay.Layout.features <> slots * nt then
     fail "A004" "features length %d != %d slots x tile size %d"
       (Array.length lay.Layout.features) slots nt;
+  let leaves = Array.length lay.Layout.leaf_values in
   (match lay.Layout.kind with
   | Layout.Array_kind ->
     if lay.Layout.child_ptr <> [||] then
       fail "A004" "array layout carries child pointers";
-    if lay.Layout.leaf_values <> [||] then
-      fail "A004" "array layout carries a separate leaf store";
-    Array.iteri
-      (fun i root ->
-        if root < 0 || root > slots then
-          fail "A004" "tree %d slab base %d out of range" i root)
-      lay.Layout.tree_root
+    if leaves <> 0 then fail "A004" "array layout carries a separate leaf store"
   | Layout.Sparse_kind ->
     if Array.length lay.Layout.child_ptr <> slots then
       fail "A004" "child_ptr length %d != %d slots"
-        (Array.length lay.Layout.child_ptr) slots;
-    let leaves = Array.length lay.Layout.leaf_values in
-    Array.iteri
-      (fun i root ->
-        if root >= slots || -root - 1 >= leaves then
-          fail "A004" "tree %d root %d out of range" i root)
-      lay.Layout.tree_root);
+        (Array.length lay.Layout.child_ptr) slots);
+  (* Per LUT row, the set of children it can select, as a bit mask. *)
+  let children =
+    Array.mapi
+      (fun sid (row : int array) ->
+        if Array.length row <> 1 lsl nt then
+          fail "A004" "LUT row length %d != 2^tile size %d" (Array.length row)
+            (1 lsl nt);
+        let mask = ref 0 in
+        for b = 0 to Array.length row - 1 do
+          let c = row.(b) in
+          if c < 0 || c > nt then
+            fail "A004" "LUT row %d selects child %d outside [0, %d]" sid c nt;
+          mask := !mask lor (1 lsl c)
+        done;
+        !mask)
+      lay.Layout.lut
+  in
   let lut_rows = Array.length lay.Layout.lut in
+  let shape_ids = lay.Layout.shape_ids in
+  for s = 0 to slots - 1 do
+    let sid = shape_ids.(s) in
+    if sid >= lut_rows || sid < Layout.unused_marker then
+      fail "A004" "slot %d shape id %d out of range" s sid
+  done;
+  if Array.length t.walk_depth <> num_trees then
+    fail "A004" "walk_depth length %d != %d trees" (Array.length t.walk_depth)
+      num_trees;
+  let walk_of = Array.make num_trees None in
   Array.iter
-    (fun row ->
-      if Array.length row <> 1 lsl nt then
-        fail "A004" "LUT row length %d != 2^tile size %d" (Array.length row)
-          (1 lsl nt))
-    lay.Layout.lut;
-  Array.iteri
-    (fun s sid ->
-      if sid >= lut_rows || sid < Layout.unused_marker then
-        fail "A004" "slot %d shape id %d out of range" s sid)
-    lay.Layout.shape_ids;
+    (fun g ->
+      Array.iter
+        (fun tree ->
+          if tree < 0 || tree >= num_trees then
+            fail "A004" "group position %d out of range" tree;
+          if Option.is_some walk_of.(tree) then
+            fail "A004" "tree %d appears in more than one group plan" tree;
+          walk_of.(tree) <- Some g.walk)
+        g.positions)
+    t.groups;
+  (* Feature indices, in one sequential pass over every lane (leaf and
+     unused slots store 0). *)
+  let feature_cap, width =
+    match lay.Layout.quant with
+    | None -> (max_int, 0)
+    | Some q ->
+      (* The row quantizer reads every feature that has an exponent. *)
+      let w = ref 0 in
+      Array.iteri (fun f e -> if e <> None then w := f + 1) q.Layout.feature_exp;
+      (Array.length q.Layout.feature_exp, !w)
+  in
+  let width = ref width and features = lay.Layout.features in
+  for i = 0 to Array.length features - 1 do
+    let f = features.(i) in
+    if f < 0 || f >= feature_cap then
+      fail "A004" "slot %d reads feature %d outside the row" (i / nt) f;
+    if f >= !width then width := f + 1
+  done;
+  (* A tile entered after [d] steps: the walk takes step d+1 from it,
+     which must stay within the tree's walk depth and, for an unrolled
+     group, within the unrolled depth — so every walk meets its leaf by
+     then. Not {e at} it: a padding tile's dead exit is a shallower leaf
+     that a NaN or +inf feature does reach, and the kernels hold a
+     cursor on its leaf for the remaining steps. *)
+  let step_limit tree walk =
+    match walk with
+    | Mir.Unrolled_walk { depth } -> min depth t.walk_depth.(tree)
+    | Mir.Loop_walk | Mir.Peeled_walk _ -> t.walk_depth.(tree)
+  in
+  let too_deep tree walk =
+    match walk with
+    | Mir.Unrolled_walk { depth } when depth < t.walk_depth.(tree) ->
+      fail "A004" "tree %d: unrolled walk of depth %d continues past it" tree
+        depth
+    | _ -> fail "A004" "tree %d walks past its walk depth %d" tree t.walk_depth.(tree)
+  in
+  (* An unrolled walk takes exactly [depth] steps, so its deepest leaf
+     must sit there — which also bounds the kernels' step count by the
+     layout rather than by a stored number. *)
+  let deepest = ref 0 in
+  let unrolled_reaches tree walk =
+    match walk with
+    | Mir.Unrolled_walk { depth } when !deepest <> depth ->
+      fail "A004" "tree %d: unrolled walk of depth %d, deepest leaf at %d" tree
+        depth !deepest
+    | _ -> ()
+  in
+  (* Pending (cursor, depth) pairs, flat; grown by doubling. *)
+  let stack = ref (Array.make 256 0) and top = ref 0 in
+  let grow () =
+    let bigger = Array.make (2 * Array.length !stack) 0 in
+    Array.blit !stack 0 bigger 0 !top;
+    stack := bigger
+  in
+  let roots = lay.Layout.tree_root in
+  let entered =
+    Bytes.make (if lay.Layout.kind = Layout.Sparse_kind then slots else 0) '\000'
+  in
+  for tree = 0 to num_trees - 1 do
+    match (walk_of.(tree), lay.Layout.kind) with
+    | None, _ -> ()
+    | Some walk, Layout.Array_kind ->
+      (* The slab runs to the next tree's base; bases ascend. *)
+      let base = roots.(tree) in
+      let stop = if tree + 1 < num_trees then roots.(tree + 1) else slots in
+      if base < 0 || base >= stop || stop > slots then
+        fail "A004" "tree %d slab [%d, %d) out of range" tree base stop;
+      let limit = step_limit tree walk in
+      deepest := 0;
+      !stack.(0) <- 0;
+      !stack.(1) <- 0;
+      top := 2;
+      while !top > 0 do
+        top := !top - 2;
+        let local = !stack.(!top) and d = !stack.(!top + 1) in
+        if local >= stop - base then
+          fail "A004" "tree %d walk leaves its slab at local slot %d" tree local;
+        let s = base + local in
+        let sid = shape_ids.(s) in
+        if sid = Layout.leaf_marker then (if d > !deepest then deepest := d)
+        else begin
+          if sid < 0 then fail "A004" "tree %d walk reaches unused slot %d" tree s;
+          if d >= limit then too_deep tree walk;
+          let cs = children.(sid) in
+          if !top + (2 * (nt + 1)) > Array.length !stack then grow ();
+          let st = !stack in
+          for c = 0 to nt do
+            if cs land (1 lsl c) <> 0 then begin
+              st.(!top) <- (local * (nt + 1)) + c + 1;
+              st.(!top + 1) <- d + 1;
+              top := !top + 2
+            end
+          done
+        end
+      done;
+      unrolled_reaches tree walk
+    | Some walk, Layout.Sparse_kind ->
+      let root = roots.(tree) in
+      if root < 0 then begin
+        if -root - 1 >= leaves then
+          fail "A004" "tree %d root %d out of range" tree root
+      end
+      else begin
+        !stack.(0) <- root;
+        !stack.(1) <- 0;
+        top := 2
+      end;
+      let limit = step_limit tree walk in
+      deepest := 0;
+      while !top > 0 do
+        top := !top - 2;
+        let s = !stack.(!top) and d = !stack.(!top + 1) in
+        if s >= slots then fail "A004" "tree %d reaches slot %d of %d" tree s slots;
+        if Bytes.get entered s <> '\000' then
+          fail "A004" "slot %d is entered twice" s;
+        Bytes.set entered s '\001';
+        let sid = shape_ids.(s) in
+        if sid < 0 then fail "A004" "tree %d walk reaches non-tile slot %d" tree s;
+        if d >= limit then too_deep tree walk;
+        let p = lay.Layout.child_ptr.(s) and cs = children.(sid) in
+        if !top + (2 * (nt + 1)) > Array.length !stack then grow ();
+        let st = !stack in
+        for c = 0 to nt do
+          if cs land (1 lsl c) = 0 then ()
+          else if p >= 0 then begin
+            st.(!top) <- p + c;
+            st.(!top + 1) <- d + 1;
+            top := !top + 2
+          end
+          else begin
+            let l = -p - 1 + c in
+            if l < 0 || l >= leaves then
+              fail "A004" "tree %d reaches leaf index %d of %d" tree l leaves;
+            if d + 1 > !deepest then deepest := d + 1
+          end
+        done
+      done;
+      unrolled_reaches tree walk
+  done;
+  !width
+
+let walkable t = try Ok (check_walkable t) with Fail e -> Error e
+
+let validate t =
+  ignore (check_walkable t);
+  let lay = t.layout in
   let num_trees = lay.Layout.num_trees in
   if Array.length t.tree_class <> num_trees then
     fail "A004" "tree_class length %d != %d trees" (Array.length t.tree_class)
       num_trees;
-  if Array.length t.walk_depth <> num_trees then
-    fail "A004" "walk_depth length %d != %d trees" (Array.length t.walk_depth)
-      num_trees;
   if t.num_outputs < 1 then fail "A004" "num_outputs %d < 1" t.num_outputs;
+  (* Every output is fed by some tree (a k-class forest has a multiple
+     of k trees); the bound also keeps a corrupt count from sizing every
+     predicted row. *)
+  if t.num_outputs > max 1 num_trees then
+    fail "A004" "num_outputs %d exceeds the %d trees that feed them"
+      t.num_outputs num_trees;
   Array.iteri
     (fun i cls ->
       if cls < 0 || cls >= t.num_outputs then

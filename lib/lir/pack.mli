@@ -105,8 +105,26 @@ val decode : bytes -> (t, error) result
 (** Total inverse of {!encode}: validates magic, version, length and
     checksum before touching the payload, then structurally validates the
     decoded pack (layout buffer lengths against slot count and kind,
-    group/program consistency, {!Reg_ir.check} register discipline on
-    every walk program). Never raises. *)
+    {!walkable}, group/program consistency, at most one output per tree,
+    {!Reg_ir.check} register discipline on every walk program). Never
+    raises. *)
+
+val walkable : t -> (int, error) result
+(** The walkability invariant the JIT's unchecked loads rest on
+    (DESIGN.md §15), checked in one pass linear in the layout whatever
+    its contents: from every tree root, every child any LUT row can
+    select is inside its buffer (array walks inside the tree's slab and
+    never on an unused slot; sparse walks on tile slots entered once,
+    and leaf indices inside the leaf store); LUT entries lie in
+    [[0, tile_size]]; every walk ends on a leaf within the tree's
+    [walk_depth], and an unrolled group's deepest leaf sits at exactly
+    its unrolled depth (shallower leaves are allowed: a padding tile's
+    dead exit is taken by NaN and +inf features); and every lane reads
+    a feature in [[0, width)], where a quantized layout's
+    width is its feature-exponent count. A peeled group's peel depth is
+    not checked: the kernels test for leaves at every step. [Ok w] is
+    the row width a predictor must be fed. {!decode} runs it (failures
+    are [A004]) and so does {!Tb_vm.Jit.instantiate}. *)
 
 val equal : t -> t -> bool
 (** Structural equality, with floats compared bitwise (NaN-safe) — the

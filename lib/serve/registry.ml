@@ -62,7 +62,10 @@ type t = {
   (* Per-(model, precision request) memo of the certification gate: the
      certificate and the quantized stage pair are schedule-light, so one
      resolution serves every schedule of the model. *)
-  resolutions : (string, Treebeard.resolution) Hashtbl.t;
+  resolutions : (string * int * Int64.t, Treebeard.resolution) Hashtbl.t;
+  (* Rendered cache keys per (model, tier, canonical schedule), so a hit
+     formats nothing. *)
+  keys : (string * Treebeard.tier * Schedule.t, string) Hashtbl.t;
   mutable precision_fallbacks : (string * string) list;
   (* Calibration state: multiplicative corrections learned from measured
      dual-clock runs, applied to every subsequent compile's modeled costs.
@@ -91,6 +94,7 @@ let create ?(target = Config.intel_rocket_lake) ?(policy = Policy.Lru)
     clamps = [];
     artifact_errors = [];
     resolutions = Hashtbl.create 8;
+    keys = Hashtbl.create 16;
     precision_fallbacks = [];
     service_scales = Hashtbl.create 8;
     compile_scale = 1.0;
@@ -119,10 +123,23 @@ let forest t name = (Hashtbl.find t.sources name).forest
    precision tier is a key component too: it selects a different artifact
    (quantized buffers, quant block), so tiers must never share an entry —
    and the disk store's filenames inherit the separation. *)
-let key t name tier schedule =
+let render_key t name tier schedule =
   Printf.sprintf "%s|%s|%s|%s" name t.target.Config.name
     (Treebeard.tier_to_string tier)
     (Json.to_string (Schedule.to_json schedule))
+
+(* Bounded: a client sweeping schedules only costs re-rendering. *)
+let max_memo_keys = 4096
+
+let key t name tier schedule =
+  let mk = (name, tier, schedule) in
+  match Hashtbl.find_opt t.keys mk with
+  | Some k -> k
+  | None ->
+    let k = render_key t name tier schedule in
+    if Hashtbl.length t.keys >= max_memo_keys then Hashtbl.reset t.keys;
+    Hashtbl.replace t.keys mk k;
+    k
 
 (* Modeled compile cost: lowering walks every node once and layout size
    tracks slot count, so charge a fixed pipeline overhead plus a per-slot
@@ -160,13 +177,15 @@ let tier_of_pack (pk : Pack.t) =
   | None -> `Float
   | Some s -> if s.Layout.qbits = 8 then `Int8 else `Int16
 
-let resolution_memo_key name precision =
+(* Model, requested width (0 = float) and the tolerance's bits — the
+   bits, so that every tolerance, NaN included, names one entry. *)
+let resolution_memo_key name (precision : Treebeard.precision) =
   match precision with
-  | `Float -> name ^ "#float"
+  | `Float -> (name, 0, 0L)
   | `Quantized q ->
-    Printf.sprintf "%s#%s#%h" name
-      (Treebeard.precision_to_string precision)
-      q.Treebeard.tolerance
+    ( name,
+      (match q.Treebeard.bits with `I8 -> 8 | `I16 -> 16),
+      Int64.bits_of_float q.Treebeard.tolerance )
 
 let resolve t name src precision schedule =
   let mk = resolution_memo_key name precision in

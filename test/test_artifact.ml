@@ -26,6 +26,9 @@ module Registry = Tb_serve.Registry
 module Artifact = Tb_serve.Artifact
 module Validate = Tb_analysis.Validate
 module Prng = Tb_util.Prng
+module Mir = Tb_mir.Mir
+module Numeric = Tb_analysis.Numeric
+module Treebeard = Tb_core.Treebeard
 
 let bitwise_equal a b =
   Array.length a = Array.length b
@@ -196,6 +199,221 @@ let fuzz_storm_property seed =
     if not (Pack.equal pk pk') then
       QCheck2.Test.fail_report "corrupt artifact decoded to a different pack";
     true
+
+(* ---------------- walkability ---------------- *)
+
+(* The JIT's unchecked loads rest on Pack.walkable. Each rule gets one
+   crafted mutant of a valid pack: re-encoding recomputes the CRC, so
+   only the structural check stands between the mutant and the kernels.
+   Decode must answer A004 and instantiation must refuse the pack. *)
+
+let sparse_fixture () = snd (fixture_pack ())
+
+let array_fixture () =
+  let rng = Prng.create 7 in
+  let forest = Forest.random ~num_trees:5 ~max_depth:4 ~num_features:6 rng in
+  Pack.of_lower
+    (Lower.lower forest { Schedule.default with layout = Schedule.Array_layout })
+
+let int16_fixture () =
+  let rng = Prng.create 7 in
+  let forest = Forest.random ~num_trees:5 ~max_depth:4 ~num_features:6 rng in
+  let cert = Numeric.certify ~tolerance:1e12 ~width:Numeric.I16 forest in
+  let quant = Treebeard.qspec_of_plan cert.Numeric.plan in
+  Pack.of_lower
+    ~quant:
+      { Pack.resident_k = 0; dev_bound = Array.copy cert.Numeric.dev_bound; tolerance = 1e12 }
+    (Lower.lower ~quant forest Schedule.default)
+
+(* A deep copy of the pack's mutable buffers, edited by [f]. *)
+let mutate (pk : Pack.t) f =
+  let lay = pk.Pack.layout in
+  let lay =
+    {
+      lay with
+      Layout.tree_root = Array.copy lay.Layout.tree_root;
+      features = Array.copy lay.Layout.features;
+      shape_ids = Array.copy lay.Layout.shape_ids;
+      child_ptr = Array.copy lay.Layout.child_ptr;
+      lut = Array.map Array.copy lay.Layout.lut;
+    }
+  in
+  let pk =
+    {
+      pk with
+      Pack.layout = lay;
+      walk_depth = Array.copy pk.Pack.walk_depth;
+      groups = Array.map (fun (g : Pack.group) -> { g with Pack.positions = Array.copy g.Pack.positions }) pk.Pack.groups;
+    }
+  in
+  f pk lay;
+  pk
+
+(* The first tree whose root is a tile, and that root's slot. *)
+let tile_root (pk : Pack.t) =
+  let lay = pk.Pack.layout in
+  let rec find t =
+    let r = lay.Layout.tree_root.(t) in
+    if r >= 0 && lay.Layout.shape_ids.(r) >= 0 then (t, r) else find (t + 1)
+  in
+  find 0
+
+let expect_unwalkable what pk =
+  expect_error what "A004" (Pack.encode pk);
+  match ignore (Jit.instantiate_single_thread pk : Jit.predictor) with
+  | () -> Alcotest.failf "%s: instantiated an unwalkable pack" what
+  | exception Invalid_argument _ -> ()
+
+let test_walkability_mutants () =
+  let sparse = sparse_fixture () and arr = array_fixture () and q = int16_fixture () in
+  List.iter
+    (fun (what, pk) ->
+      check_bool (what ^ " fixture is walkable") true (Result.is_ok (Pack.walkable pk)))
+    [ ("sparse", sparse); ("array", arr); ("int16", q) ];
+  let nt = sparse.Pack.layout.Layout.tile_size in
+  (* Feature indices in [0, width). *)
+  expect_unwalkable "negative feature index"
+    (mutate sparse (fun _ lay ->
+         let _, r = tile_root sparse in
+         lay.Layout.features.(r * nt) <- -1));
+  expect_unwalkable "feature beyond the quantized row"
+    (mutate q (fun _ lay ->
+         let _, r = tile_root q in
+         let width =
+           match lay.Layout.quant with
+           | Some spec -> Array.length spec.Layout.feature_exp
+           | None -> assert false
+         in
+         lay.Layout.features.(r * nt) <- width));
+  (* LUT entries in [0, nt]. *)
+  expect_unwalkable "LUT entry beyond the tile"
+    (mutate sparse (fun _ lay -> lay.Layout.lut.(0).(0) <- nt + 1));
+  (* Array walks stay in their slab and off unused slots. *)
+  expect_unwalkable "array slab bases out of order"
+    (mutate arr (fun _ lay ->
+         let r = lay.Layout.tree_root in
+         let t0 = r.(0) in
+         r.(0) <- r.(1);
+         r.(1) <- t0));
+  expect_unwalkable "array walk reaches an unused slot"
+    (mutate arr (fun _ lay ->
+         let _, r = tile_root arr in
+         lay.Layout.shape_ids.(r) <- Layout.unused_marker));
+  (* Sparse walks stay on tile slots and leaves in range, without cycles. *)
+  let slots = Array.length sparse.Pack.layout.Layout.shape_ids in
+  expect_unwalkable "sparse child pointer past the slots"
+    (mutate sparse (fun _ lay ->
+         let _, r = tile_root sparse in
+         lay.Layout.child_ptr.(r) <- slots));
+  expect_unwalkable "sparse leaf index past the leaf store"
+    (mutate sparse (fun _ lay ->
+         let leaves = Array.length lay.Layout.leaf_values in
+         let s = ref 0 in
+         while lay.Layout.child_ptr.(!s) >= 0 do
+           incr s
+         done;
+         lay.Layout.child_ptr.(!s) <- -leaves - 1));
+  expect_unwalkable "sparse cycle back to the root"
+    (mutate sparse (fun _ lay ->
+         let _, r = tile_root sparse in
+         lay.Layout.child_ptr.(r) <- r));
+  expect_unwalkable "sparse trees sharing a slot"
+    (mutate sparse (fun _ lay ->
+         let t, r = tile_root sparse in
+         lay.Layout.tree_root.((t + 1) mod lay.Layout.num_trees) <- r));
+  (* Walks end within walk_depth; unrolled walks at exactly their depth. *)
+  expect_unwalkable "walk deeper than its walk depth"
+    (mutate sparse (fun pk _ ->
+         let t, _ = tile_root sparse in
+         pk.Pack.walk_depth.(t) <- 0));
+  let unrolled_depth delta =
+    mutate sparse (fun pk _ ->
+        let g =
+          match
+            List.find_opt
+              (fun (g : Pack.group) ->
+                match g.Pack.walk with Mir.Unrolled_walk { depth } -> depth > 1 | _ -> false)
+              (Array.to_list pk.Pack.groups)
+          with
+          | Some g -> g
+          | None -> Alcotest.fail "fixture has no unrolled group"
+        in
+        let depth = match g.Pack.walk with Mir.Unrolled_walk { depth } -> depth | _ -> 0 in
+        Array.iteri
+          (fun i (g' : Pack.group) ->
+            if g' == g then
+              pk.Pack.groups.(i) <- { g with Pack.walk = Mir.Unrolled_walk { depth = depth + delta } })
+          pk.Pack.groups)
+  in
+  expect_unwalkable "unrolled walk shallower than its trees" (unrolled_depth (-1));
+  expect_unwalkable "unrolled walk deeper than its trees" (unrolled_depth 1);
+  expect_unwalkable "tree in two group plans"
+    (mutate sparse (fun pk _ ->
+         let g = pk.Pack.groups.(0) in
+         pk.Pack.groups.(0) <-
+           { g with Pack.positions = Array.append g.Pack.positions [| g.Pack.positions.(0) |] }));
+  (* The peel depth is not a step count the kernels trust (peeled walks
+     check for leaves at every step), so any peel is harmless. *)
+  let repeeled =
+    mutate arr (fun pk _ ->
+        Array.iteri
+          (fun i (g : Pack.group) -> pk.Pack.groups.(i) <- { g with Pack.walk = Mir.Peeled_walk { peel = 99 } })
+          pk.Pack.groups)
+  in
+  (match Pack.decode (Pack.encode repeeled) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "deep peel rejected: %s" e.Pack.message);
+  let rows = random_rows (Prng.create 3) 6 16 in
+  check_bool "deep peel predicts like the plan" true
+    (bitwise_equal (Jit.instantiate_single_thread arr rows)
+       (Jit.instantiate_single_thread repeeled rows));
+  (* Not walkability, but the same storm's concern: a class count no
+     tree feeds would size every predicted row. *)
+  expect_error "outputs beyond the trees" "A004"
+    (Pack.encode { sparse with Pack.num_outputs = 1 + sparse.Pack.layout.Layout.num_trees })
+
+(* CRC-recomputed payload mutation storm over float (array and sparse)
+   and int16 packs: the checksum no longer protects anything, so every
+   mutant is either refused (A004) or a pack whose predictor runs on
+   rows of its required width without raising. *)
+let storm_fixtures = lazy [| sparse_fixture (); array_fixture (); int16_fixture () |]
+
+let crc_storm_property seed =
+  let rng = Prng.create seed in
+  let fixtures = Lazy.force storm_fixtures in
+  let good = Pack.encode fixtures.(Prng.int rng (Array.length fixtures)) in
+  let n = Bytes.length good in
+  let b = Bytes.copy good in
+  for _ = 0 to Prng.int rng 3 do
+    let i = 16 + Prng.int rng (n - 16) in
+    if Prng.int rng 2 = 0 then
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Prng.int rng 8))
+    else Bytes.set_uint8 b i (Prng.int rng 256)
+  done;
+  Bytes.set_int32_le b 12 (Pack.crc32 b ~pos:16 ~len:(n - 16));
+  match Pack.decode b with
+  | Error e ->
+    if e.Pack.code <> "A004" then
+      QCheck2.Test.fail_reportf "payload mutant gave %s, not A004" e.Pack.code;
+    true
+  | Ok pk -> (
+    let width =
+      match Pack.walkable pk with
+      | Ok w -> w
+      | Error e -> QCheck2.Test.fail_reportf "decoded an unwalkable pack: %s" e.Pack.message
+    in
+    let predict = Jit.instantiate_single_thread pk in
+    (* A mutated feature index can demand a very wide row: then the
+       boundary must refuse a narrow one instead. *)
+    if width > 64 then (
+      match predict (random_rows rng 6 4) with
+      | _ -> QCheck2.Test.fail_report "a row narrower than the layout was predicted"
+      | exception Invalid_argument _ -> true)
+    else
+      match predict (random_rows rng (max width 1) 16) with
+      | _ -> true
+      | exception e ->
+        QCheck2.Test.fail_reportf "walkable mutant raised %s" (Printexc.to_string e))
 
 (* ---------------- the registry's disk tier ---------------- *)
 
@@ -457,6 +675,9 @@ let suite =
     quick "fuzz: checksum + truncation" test_fuzz_checksum_and_truncation;
     qcheck ~count:200 ~name:"fuzz storm: decode is total, errors structured"
       seed_gen fuzz_storm_property;
+    quick "walkability: one crafted mutant per rule is A004" test_walkability_mutants;
+    qcheck ~count:400 ~name:"CRC-recomputed storm: A004 or a predictor that runs"
+      seed_gen crc_storm_property;
     quick "warm restart: zero recompiles, bitwise predictions"
       test_warm_restart_zero_recompiles;
     quick "corrupt artifact: structured fallback + self-heal"

@@ -13,6 +13,10 @@ module Profiler = Tb_vm.Profiler
 module Config = Tb_cpu.Config
 module Cost_model = Tb_cpu.Cost_model
 module Cache = Tb_cpu.Cache
+module Mir = Tb_mir.Mir
+module Pack = Tb_lir.Pack
+module Numeric = Tb_analysis.Numeric
+module Treebeard = Tb_core.Treebeard
 
 let schedules_under_test =
   [
@@ -298,6 +302,158 @@ let test_full_table2_grid_equivalence () =
           (Array.for_all2 arrays_close out expected))
     Schedule.table2_grid
 
+(* ---------------- the predictor boundary ---------------- *)
+
+(* Walk kind x layout x interleave: loop walks (no padding, no peeling),
+   peeled walks (peeling alone) and unrolled walks (padding), each over
+   both layouts at interleave 1 and 4. *)
+let kernel_grid =
+  List.concat_map
+    (fun layout ->
+      List.concat_map
+        (fun (pad_and_unroll, peel) ->
+          List.map
+            (fun interleave ->
+              { Schedule.default with layout; pad_and_unroll; peel; interleave })
+            [ 1; 4 ])
+        [ (false, false); (false, true); (true, false) ])
+    [ Schedule.Array_layout; Schedule.Sparse_layout ]
+
+(* The float pack and the int16 pack of one forest under one schedule. *)
+let float_and_int16_packs forest schedule =
+  let cert = Numeric.certify ~tolerance:1e12 ~width:Numeric.I16 forest in
+  if List.exists (fun d -> d.Tb_diag.Diagnostic.code = "N001") cert.Numeric.findings
+  then Alcotest.fail "fixture forest overflows int16";
+  let quant = Treebeard.qspec_of_plan cert.Numeric.plan in
+  let meta =
+    { Pack.resident_k = 0; dev_bound = Array.copy cert.Numeric.dev_bound; tolerance = 1e12 }
+  in
+  [
+    ("float", Pack.of_lower (Lower.lower forest schedule));
+    ("int16", Pack.of_lower ~quant:meta (Lower.lower ~quant forest schedule));
+  ]
+
+let walk_name = function
+  | Mir.Loop_walk -> "loop"
+  | Mir.Peeled_walk _ -> "peeled"
+  | Mir.Unrolled_walk _ -> "unrolled"
+
+(* A row narrower than the layout reads is refused once, at the
+   boundary, before any kernel touches the batch; an empty batch is an
+   empty answer. *)
+let test_row_width_boundary () =
+  let rng = Prng.create 41 in
+  let forest = Forest.random ~num_trees:12 ~max_depth:6 ~num_features:6 rng in
+  let rows = random_rows rng 6 5 in
+  let walks = Hashtbl.create 3 in
+  List.iter
+    (fun schedule ->
+      List.iter
+        (fun (tier, pk) ->
+          Array.iter
+            (fun (g : Pack.group) -> Hashtbl.replace walks (walk_name g.Pack.walk) ())
+            pk.Pack.groups;
+          let what = tier ^ " " ^ Schedule.to_string schedule in
+          let width =
+            match Pack.walkable pk with
+            | Ok w -> w
+            | Error e -> Alcotest.failf "%s: not walkable: %s" what e.Pack.message
+          in
+          check_bool (what ^ ": width within the model") true (width >= 1 && width <= 6);
+          let predict = Jit.instantiate_single_thread pk in
+          check_int (what ^ ": empty batch") 0 (Array.length (predict [||]));
+          check_int (what ^ ": full-width batch") 5 (Array.length (predict rows));
+          let short = Array.copy rows in
+          short.(2) <- Array.sub rows.(2) 0 (width - 1);
+          match predict short with
+          | _ -> Alcotest.failf "%s: a row of %d features was predicted" what (width - 1)
+          | exception Invalid_argument m ->
+            check_string (what ^ ": message")
+              (Printf.sprintf "Jit: row 2 has %d features; this predictor reads %d"
+                 (width - 1) width)
+              m)
+        (float_and_int16_packs forest schedule))
+    (kernel_grid @ [ { Schedule.default with loop_order = Schedule.One_row_at_a_time } ]);
+  List.iter
+    (fun w -> check_bool ("grid covers " ^ w ^ " walks") true (Hashtbl.mem walks w))
+    [ "loop"; "peeled"; "unrolled" ]
+
+(* A predict call allocates its answer — per row the output vector, and
+   on the int16 path the quantized row and its integer accumulator — and
+   nothing per tree walk: the same bound holds for 16 and 128 trees. *)
+let test_predict_allocation () =
+  let rng = Prng.create 43 in
+  let nf = 5 in
+  let forests =
+    List.map
+      (fun num_trees -> Forest.random ~num_trees ~max_depth:6 ~num_features:nf rng)
+      [ 16; 128 ]
+  in
+  let rows = random_rows rng nf 1024 in
+  let words predict =
+    ignore (predict rows);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (predict rows));
+    Gc.minor_words () -. w0
+  in
+  (* Words per row, independent of the tree count: the one-class output
+     row (2) and, quantized, the int row (nf + 1) and the accumulator
+     row (2), with slack; plus a per-call constant. A boxed float per
+     tree walk would add 2 words per tree per row. *)
+  let bound = (float_of_int (nf + 8) *. 1024.0) +. 4096.0 in
+  List.iter
+    (fun schedule ->
+      List.iter
+        (fun forest ->
+          List.iter
+            (fun (tier, pk) ->
+              let w = words (Jit.instantiate_single_thread pk) in
+              if w > bound then
+                Alcotest.failf "%s %s, %d trees: %.0f words for 1024 rows (bound %.0f)"
+                  tier (Schedule.to_string schedule)
+                  (Array.length forest.Forest.trees) w bound)
+            (float_and_int16_packs forest schedule))
+        forests)
+    kernel_grid
+
+(* Padding tiles compare [x < +inf], so a NaN or +inf feature takes their
+   dead exit to a leaf above the padded depth. The unrolled kernels must
+   stay on that leaf — the answer is then [Layout.walk]'s, bit for bit —
+   rather than step off it. *)
+let test_nonfinite_rows_on_padded_schedules () =
+  let rng = Prng.create 47 in
+  let forest = Forest.random ~num_trees:10 ~max_depth:6 ~num_features:4 rng in
+  let rows =
+    [|
+      [| Float.nan; Float.nan; Float.nan; Float.nan |];
+      [| infinity; infinity; infinity; infinity |];
+      [| Float.nan; 0.3; infinity; -0.2 |];
+      [| 0.1; -0.5; 0.7; 0.2 |];
+    |]
+  in
+  let padding_tiles = ref 0 in
+  List.iter
+    (fun schedule ->
+      let lp = Lower.lower forest schedule in
+      let lay = lp.Lower.layout in
+      Array.iteri
+        (fun s sid ->
+          if sid >= 0 && lay.Layout.thresholds.(s * lay.Layout.tile_size) = infinity then
+            incr padding_tiles)
+        lay.Layout.shape_ids;
+      let expected = Array.map (Lower.reference_predict lp) rows in
+      let out = Jit.compile_single_thread lp rows in
+      check_bool
+        ("non-finite rows: " ^ Schedule.to_string schedule)
+        true
+        (Array.for_all2
+           (fun a b -> Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b)
+           out expected))
+    (List.concat_map
+       (fun s -> List.map (fun tile_size -> { s with Schedule.tile_size }) [ 2; 4; 8 ])
+       (List.filter (fun s -> s.Schedule.pad_and_unroll) kernel_grid));
+  check_bool "the grid has padding tiles" true (!padding_tiles > 0)
+
 let suite =
   [
     quick "NaN rows consistent across backends" test_nan_rows_consistent;
@@ -316,4 +472,7 @@ let suite =
     quick "breakdown sums to cycles" test_cost_breakdown_sums;
     quick "multicore never slower" test_multicore_never_slower;
     quick "full Table II grid equivalence" test_full_table2_grid_equivalence;
+    quick "row width checked at the predictor boundary" test_row_width_boundary;
+    quick "predict allocates per row, not per tree" test_predict_allocation;
+    quick "non-finite rows on padded schedules" test_nonfinite_rows_on_padded_schedules;
   ]
